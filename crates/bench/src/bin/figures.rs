@@ -17,13 +17,18 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
                     .expect("--parallelism requires a positive integer");
-                config.parallelism = value.max(1);
+                config.parallelism = value;
             }
             other => {
                 eprintln!("unknown option `{other}` (supported: --parallelism N)");
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Err(err) = config.validate() {
+        eprintln!("invalid fleet configuration: {err}");
+        std::process::exit(2);
     }
 
     println!("{}", exhibits::table1());

@@ -12,8 +12,8 @@
 //! than derived from wall clock.
 //!
 //! Entries: CRC32C byte-table baseline vs slicing-by-8 vs the dispatched
-//! hardware path, protowire encode/varint kernels, SIMD-vs-scalar pairs for
-//! the compress/decompress/bloom kernels (kernel round 3), and the
+//! hardware path, protowire encode/varint kernels, fast-vs-reference pairs
+//! for the compress/decompress/bloom/merge/Keccak kernels, and the
 //! sequential-vs-parallel fleet wall-clock comparison (same seed — the
 //! outputs are byte-identical by construction, only the wall-clock differs).
 
@@ -27,10 +27,7 @@ use hsdp_platforms::runner::{
     run_fleet_telemetry, run_spanner, FleetConfig,
 };
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{
-    compress, compress_reference, compress_scalar, decompress, decompress_reference,
-    decompress_scalar,
-};
+use hsdp_taxes::compress::{compress, compress_reference, decompress, decompress_reference};
 use hsdp_taxes::crc::{crc32c_append, crc32c_append_bytewise, crc32c_append_slicing8};
 use hsdp_taxes::dispatch::CpuFeatures;
 use hsdp_taxes::sha3::{keccak_f1600, keccak_f1600_reference};
@@ -197,37 +194,23 @@ fn main() {
     }
     corpus.truncate(CRC_BUF_LEN);
     // The encoders may pick different matches; all streams must decode to
-    // the corpus under *both* decoders (one shared format). `compress` /
-    // `decompress` dispatch to the AVX2 tier when the host has it; the
-    // word-at-a-time/chunked-copy entries call the scalar tier explicitly.
+    // the corpus under *both* decoders (one shared format).
     let packed = compress(&corpus);
     let packed_ref = compress_reference(&corpus);
-    assert_eq!(
-        packed,
-        compress_scalar(&corpus),
-        "SIMD and scalar compress must emit identical bytes"
-    );
     assert_eq!(decompress(&packed).expect("fast/fast"), corpus);
-    assert_eq!(decompress_scalar(&packed).expect("fast/scalar"), corpus);
     assert_eq!(decompress_reference(&packed).expect("fast/ref"), corpus);
     assert_eq!(decompress(&packed_ref).expect("ref/fast"), corpus);
     let ref_compress_ns = best_of(5, || time_ns(50, || compress_reference(&corpus).len()));
-    let scalar_compress_ns = best_of(5, || time_ns(50, || compress_scalar(&corpus).len()));
-    let simd_compress_ns = best_of(5, || time_ns(50, || compress(&corpus).len()));
+    let fast_compress_ns = best_of(5, || time_ns(50, || compress(&corpus).len()));
     let ref_decompress_ns = best_of(5, || {
         time_ns(50, || decompress_reference(&packed).map(|v| v.len()))
     });
-    let scalar_decompress_ns = best_of(5, || {
-        time_ns(50, || decompress_scalar(&packed).map(|v| v.len()))
-    });
-    let simd_decompress_ns = best_of(5, || time_ns(50, || decompress(&packed).map(|v| v.len())));
+    let fast_decompress_ns = best_of(5, || time_ns(50, || decompress(&packed).map(|v| v.len())));
     for (id, ns) in [
         ("compress/reference/64KiB", ref_compress_ns),
-        ("compress/word-at-a-time/64KiB", scalar_compress_ns),
-        ("compress/simd/64KiB", simd_compress_ns),
+        ("compress/word-at-a-time/64KiB", fast_compress_ns),
         ("decompress/reference/64KiB", ref_decompress_ns),
-        ("decompress/chunked-copy/64KiB", scalar_decompress_ns),
-        ("decompress/simd/64KiB", simd_decompress_ns),
+        ("decompress/chunked-copy/64KiB", fast_decompress_ns),
     ] {
         report.push(BenchRecord {
             id: id.to_owned(),
@@ -239,78 +222,15 @@ fn main() {
     }
     println!(
         "compress: reference {ref_compress_ns:.0} ns/iter, word-at-a-time \
-         {scalar_compress_ns:.0} ns/iter ({:.2}x), simd {simd_compress_ns:.0} ns/iter \
-         ({:.2}x over scalar); decompress: reference {ref_decompress_ns:.0} ns/iter, \
-         chunked-copy {scalar_decompress_ns:.0} ns/iter ({:.2}x), simd \
-         {simd_decompress_ns:.0} ns/iter ({:.2}x over scalar)",
-        ref_compress_ns / scalar_compress_ns,
-        scalar_compress_ns / simd_compress_ns,
-        ref_decompress_ns / scalar_decompress_ns,
-        scalar_decompress_ns / simd_decompress_ns,
+         {fast_compress_ns:.0} ns/iter ({:.2}x); decompress: reference \
+         {ref_decompress_ns:.0} ns/iter, chunked-copy {fast_decompress_ns:.0} ns/iter ({:.2}x)",
+        ref_compress_ns / fast_compress_ns,
+        ref_decompress_ns / fast_decompress_ns,
     );
     assert!(
-        ref_compress_ns / scalar_compress_ns >= 2.0,
+        ref_compress_ns / fast_compress_ns >= 2.0,
         "compress must be >= 2x over the reference on the 64 KiB corpus"
     );
-
-    // --- Compression, match-extension regime: the SIMD compress gate. ------
-    // The fleet-log corpus above averages ~16-byte matches, so each match
-    // costs one serial hash->probe->compare dependence chain that no vector
-    // width can shorten — SIMD lands ~1x there and the pair is recorded
-    // ungated. Long matches are where the vector prefix comparator pays:
-    // this corpus repeats a 2 KiB hot block (SSTable hot-tablet readback),
-    // so compression time is dominated by 32-bytes-per-cycle match
-    // extension, and the AVX2 tier must clear 2x over the scalar tier.
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0xB10C);
-    let hot_block: Vec<u8> = (0..2048)
-        .map(|_| {
-            let b = rng.random_range(0u32..255);
-            // audit: allow(cast, bench corpus byte from a bounded range)
-            b as u8
-        })
-        .collect();
-    let mut hot_corpus = Vec::with_capacity(CRC_BUF_LEN);
-    while hot_corpus.len() < CRC_BUF_LEN {
-        hot_corpus.extend_from_slice(&hot_block);
-    }
-    hot_corpus.truncate(CRC_BUF_LEN);
-    assert_eq!(
-        compress(&hot_corpus),
-        compress_scalar(&hot_corpus),
-        "SIMD and scalar compress must emit identical bytes (hot-block corpus)"
-    );
-    let scalar_hot_ns = best_of(5, || time_ns(50, || compress_scalar(&hot_corpus).len()));
-    let simd_hot_ns = best_of(5, || time_ns(50, || compress(&hot_corpus).len()));
-    for (id, ns) in [
-        ("compress/scalar/hot-block-64KiB", scalar_hot_ns),
-        ("compress/simd/hot-block-64KiB", simd_hot_ns),
-    ] {
-        report.push(BenchRecord {
-            id: id.to_owned(),
-            ns_per_iter: ns,
-            bytes_per_iter: Some(CRC_BUF_LEN as u64),
-            parallelism: 1,
-            seed: SEED ^ 0xB10C,
-        });
-    }
-    println!(
-        "compress hot-block: scalar {scalar_hot_ns:.0} ns/iter, simd {simd_hot_ns:.0} \
-         ns/iter ({:.2}x)",
-        scalar_hot_ns / simd_hot_ns,
-    );
-    if features.avx2 {
-        assert!(
-            scalar_hot_ns / simd_hot_ns >= 2.0,
-            "SIMD compress must be >= 2x over scalar on the match-extension corpus \
-             (got {:.2}x)",
-            scalar_hot_ns / simd_hot_ns,
-        );
-    } else {
-        eprintln!(
-            "simd compress gate: SKIPPED (no AVX2 tier dispatched; features: {})",
-            features.summary(),
-        );
-    }
 
     // --- Bloom: modulo-probed reference vs cache-line-blocked filter. ------
     let keys: Vec<Vec<u8>> = (0..10_000u64)
@@ -361,74 +281,6 @@ fn main() {
         ref_bloom_ns / blocked_bloom_ns >= 2.0,
         "blocked bloom probes must be >= 2x over the reference"
     );
-
-    // --- Bloom block probe: scalar early-exit loop vs AVX2 whole-block. ----
-    // Isolates the 64-byte block test (`may_contain` dispatches it): 4096
-    // mixed-density blocks probed per iteration, identical verdicts required.
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0xB100);
-    let probe_blocks: Vec<([u64; 8], u64)> = (0..4096)
-        .map(|i| {
-            let mut block = [0u64; 8];
-            for word in &mut block {
-                *word = match i % 3 {
-                    0 => rng.random(),
-                    1 => rng.random::<u64>() | rng.random::<u64>(),
-                    _ => u64::MAX,
-                };
-            }
-            (block, rng.random())
-        })
-        .collect();
-    let scalar_probe_ns = best_of(5, || {
-        time_ns(200, || {
-            probe_blocks
-                .iter()
-                .filter(|(block, h2)| Bloom::block_probe_scalar(block, *h2))
-                .count()
-        })
-    });
-    report.push(BenchRecord {
-        id: "bloom/block-probe/scalar/4096-blocks".to_owned(),
-        ns_per_iter: scalar_probe_ns,
-        bytes_per_iter: None,
-        parallelism: 1,
-        seed: SEED ^ 0xB100,
-    });
-    if let Some(simd_probe) = hsdp_platforms::simd::block_probe_fn() {
-        for (block, h2) in &probe_blocks {
-            assert_eq!(
-                simd_probe(block, *h2),
-                Bloom::block_probe_scalar(block, *h2),
-                "SIMD and scalar block probes must agree"
-            );
-        }
-        let simd_probe_ns = best_of(5, || {
-            time_ns(200, || {
-                probe_blocks
-                    .iter()
-                    .filter(|(block, h2)| simd_probe(block, *h2))
-                    .count()
-            })
-        });
-        report.push(BenchRecord {
-            id: "bloom/block-probe/simd/4096-blocks".to_owned(),
-            ns_per_iter: simd_probe_ns,
-            bytes_per_iter: None,
-            parallelism: 1,
-            seed: SEED ^ 0xB100,
-        });
-        println!(
-            "bloom block probe: scalar {scalar_probe_ns:.0} ns/iter, simd \
-             {simd_probe_ns:.0} ns/iter ({:.2}x) over {} blocks",
-            scalar_probe_ns / simd_probe_ns,
-            probe_blocks.len(),
-        );
-    } else {
-        eprintln!(
-            "bloom simd probe pair: SKIPPED (no AVX2 tier dispatched; features: {})",
-            features.summary(),
-        );
-    }
 
     // --- Compaction merge: BTreeMap reference vs loser tree. ---------------
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFEED);

@@ -23,7 +23,7 @@
 //! parallelism-invariant: it forces the instrumented (telemetry) fleet
 //! path and derives everything from canonical merged state.
 
-use hsdp_bench::exhibits::fleet_stack_profile;
+use hsdp_bench::exhibits::{fleet_profile_json, fleet_stack_profile};
 use hsdp_bench::snapshot::snapshot_from_parts;
 use hsdp_bench::tail::{tail_from_parts, tail_summary};
 use hsdp_bench::telemetry_out::build_artifacts;
@@ -31,11 +31,9 @@ use hsdp_platforms::runner::{
     default_parallelism, fold_fleet, merge_fleet_metrics, run_fleet, run_fleet_telemetry,
     FleetConfig,
 };
-use hsdp_platforms::QueryExecution;
 use hsdp_profiling::history::{HistoryStore, SnapshotMeta};
 use hsdp_simcore::pool::Perturbation;
 use hsdp_simcore::time::SimDuration;
-use hsdp_taxes::crc::Crc32c;
 use hsdp_taxes::pprof::Profile;
 
 /// GWP sample period for the stack-profile exports (matches the period
@@ -66,10 +64,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("{what} requires a value"))
         };
         match arg.as_str() {
-            "--parallelism" => {
-                config.parallelism = parse::<usize>(&take("--parallelism"), "--parallelism").max(1);
-            }
-            "--shards" => config.shards = parse::<usize>(&take("--shards"), "--shards").max(1),
+            "--parallelism" => config.parallelism = parse(&take("--parallelism"), "--parallelism"),
+            "--shards" => config.shards = parse(&take("--shards"), "--shards"),
             "--seed" => config.seed = parse(&take("--seed"), "--seed"),
             // Schedule-perturbation knob: permutes shard dispatch/consumption
             // order under the given seed. Must never change any artifact.
@@ -93,6 +89,11 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Err(err) = config.validate() {
+        eprintln!("invalid fleet configuration: {err}");
+        std::process::exit(2);
     }
 
     // With `--telemetry <dir>` the fleet runs instrumented and the three
@@ -162,7 +163,7 @@ fn main() {
         }
     }
 
-    let json = render_profile(&config, &fleet);
+    let json = fleet_profile_json(&config, &fleet);
     match out_path {
         Some(path) => std::fs::write(&path, &json).expect("write profile JSON"),
         None => print!("{json}"),
@@ -173,57 +174,4 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
     value
         .parse()
         .unwrap_or_else(|_| panic!("{flag}: invalid value `{value}`"))
-}
-
-/// Folds one execution into the checksum: every label byte, span timing,
-/// and CPU work item, in stream order.
-fn digest_exec(digest: &mut Crc32c, exec: &QueryExecution) {
-    digest.update(exec.label.as_bytes());
-    for span in &exec.spans {
-        digest.update(span.name.as_bytes());
-        digest.update(&span.start.as_nanos().to_le_bytes());
-        digest.update(&span.end.as_nanos().to_le_bytes());
-        digest.update(&[span.kind.priority()]);
-    }
-    for item in &exec.cpu_work {
-        digest.update(item.leaf.as_bytes());
-        digest.update(&item.time.as_nanos().to_le_bytes());
-    }
-}
-
-fn render_profile(
-    config: &FleetConfig,
-    fleet: &[(hsdp_core::category::Platform, Vec<QueryExecution>)],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hsdp-fleet-profile/1\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!("  \"shards\": {},\n", config.shards));
-    out.push_str("  \"platforms\": [\n");
-    let mut digest = Crc32c::new();
-    for (i, (platform, execs)) in fleet.iter().enumerate() {
-        let (mut cpu, mut io, mut remote, mut e2e) = (0u64, 0u64, 0u64, 0u64);
-        for exec in execs {
-            let d = exec.decomposition();
-            cpu += d.cpu.as_nanos();
-            io += d.io.as_nanos();
-            remote += d.remote.as_nanos();
-            e2e += d.end_to_end.as_nanos();
-            digest_exec(&mut digest, exec);
-        }
-        let work_items: usize = execs.iter().map(|e| e.cpu_work.len()).sum();
-        out.push_str(&format!(
-            "    {{\"platform\": \"{platform}\", \"queries\": {}, \"cpu_ns\": {cpu}, \
-             \"io_ns\": {io}, \"remote_ns\": {remote}, \"end_to_end_ns\": {e2e}, \
-             \"cpu_work_items\": {work_items}}}{}\n",
-            execs.len(),
-            if i + 1 < fleet.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"record_stream_crc32c\": {}\n}}\n",
-        digest.finalize()
-    ));
-    out
 }

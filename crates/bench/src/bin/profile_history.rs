@@ -112,16 +112,14 @@ fn parse_options(args: &[String]) -> Options {
             "--store" => o.store = Some(take("--store").clone()),
             "--commit" => o.commit = Some(take("--commit").clone()),
             "--seq" => o.seq = parse(take("--seq"), "--seq"),
-            "--parallelism" => {
-                o.fleet.parallelism = parse::<usize>(take("--parallelism"), "--parallelism").max(1);
-            }
+            "--parallelism" => o.fleet.parallelism = parse(take("--parallelism"), "--parallelism"),
             "--db-queries" => o.fleet.db_queries = parse(take("--db-queries"), "--db-queries"),
             "--analytics-queries" => {
                 o.fleet.analytics_queries =
                     parse(take("--analytics-queries"), "--analytics-queries");
             }
             "--fact-rows" => o.fleet.fact_rows = parse(take("--fact-rows"), "--fact-rows"),
-            "--shards" => o.fleet.shards = parse::<usize>(take("--shards"), "--shards").max(1),
+            "--shards" => o.fleet.shards = parse(take("--shards"), "--shards"),
             "--seed" => {
                 let v = parse(take("--seed"), "--seed");
                 o.fleet.seed = v;
@@ -142,6 +140,10 @@ fn parse_options(args: &[String]) -> Options {
                 usage();
             }
         }
+    }
+    if let Err(err) = o.fleet.validate() {
+        eprintln!("invalid fleet configuration: {err}");
+        std::process::exit(2);
     }
     o
 }

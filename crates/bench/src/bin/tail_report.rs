@@ -38,10 +38,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("{what} requires a value"))
         };
         match arg.as_str() {
-            "--parallelism" => {
-                config.parallelism = parse::<usize>(&take("--parallelism"), "--parallelism").max(1);
-            }
-            "--shards" => config.shards = parse::<usize>(&take("--shards"), "--shards").max(1),
+            "--parallelism" => config.parallelism = parse(&take("--parallelism"), "--parallelism"),
+            "--shards" => config.shards = parse(&take("--shards"), "--shards"),
             "--seed" => config.seed = parse(&take("--seed"), "--seed"),
             // Schedule-perturbation knob: permutes shard dispatch/consumption
             // order under the given seed. Must never change the artifact.
@@ -60,6 +58,11 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Err(err) = config.validate() {
+        eprintln!("invalid fleet configuration: {err}");
+        std::process::exit(2);
     }
 
     let report = build_tail_report(config, &commit);

@@ -31,10 +31,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("{what} requires a value"))
         };
         match arg.as_str() {
-            "--parallelism" => {
-                config.parallelism = parse::<usize>(&take("--parallelism"), "--parallelism").max(1);
-            }
-            "--shards" => config.shards = parse::<usize>(&take("--shards"), "--shards").max(1),
+            "--parallelism" => config.parallelism = parse(&take("--parallelism"), "--parallelism"),
+            "--shards" => config.shards = parse(&take("--shards"), "--shards"),
             "--seed" => config.seed = parse(&take("--seed"), "--seed"),
             "--db-queries" => config.db_queries = parse(&take("--db-queries"), "--db-queries"),
             "--out" => out_dir = Some(take("--out")),
@@ -46,6 +44,11 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Err(err) = config.validate() {
+        eprintln!("invalid fleet configuration: {err}");
+        std::process::exit(2);
     }
 
     let runs = hsdp_platforms::runner::run_fleet_telemetry(config);

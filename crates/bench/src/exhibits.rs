@@ -6,12 +6,14 @@ use hsdp_core::category::{BroadCategory, Platform};
 use hsdp_core::paper;
 use hsdp_core::study;
 use hsdp_platforms::runner::FleetConfig;
+use hsdp_platforms::QueryExecution;
 use hsdp_profiling::e2e::figure2;
 use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler, LeafWork};
 use hsdp_profiling::microarch::regenerate_tables;
 use hsdp_profiling::report;
 use hsdp_profiling::stacks::StackProfile;
 use hsdp_storage::provision::{paper_spec, provision, PlatformClass};
+use hsdp_taxes::crc::Crc32c;
 
 /// The fleet configuration the exhibit benches run (kept modest so a full
 /// `cargo bench` stays in minutes).
@@ -60,7 +62,7 @@ pub fn run_profiled_fleet(config: FleetConfig) -> Vec<PlatformRun> {
             }
             let decomposed: Vec<_> = executions
                 .iter()
-                .map(hsdp_platforms::exec::QueryExecution::decomposition)
+                .map(QueryExecution::decomposition)
                 .collect();
             PlatformRun {
                 platform,
@@ -71,6 +73,65 @@ pub fn run_profiled_fleet(config: FleetConfig) -> Vec<PlatformRun> {
         .collect()
 }
 
+/// Folds one execution into the checksum: every label byte, span timing,
+/// and CPU work item, in stream order.
+fn digest_exec(digest: &mut Crc32c, exec: &QueryExecution) {
+    digest.update(exec.label.as_bytes());
+    for span in &exec.spans {
+        digest.update(span.name.as_bytes());
+        digest.update(&span.start.as_nanos().to_le_bytes());
+        digest.update(&span.end.as_nanos().to_le_bytes());
+        digest.update(&[span.kind.priority()]);
+    }
+    for item in &exec.cpu_work {
+        digest.update(item.leaf.as_bytes());
+        digest.update(&item.time.as_nanos().to_le_bytes());
+    }
+}
+
+/// Renders the canonical fleet-profile JSON (`hsdp-fleet-profile/1`) that
+/// `fleet_profile --out` writes: per-platform simulated totals plus a
+/// CRC32C over the full merged record stream. Every field is
+/// integer-exact, so two renders are byte-identical if and only if their
+/// record streams are.
+#[must_use]
+pub fn fleet_profile_json(
+    config: &FleetConfig,
+    fleet: &[(Platform, Vec<QueryExecution>)],
+) -> String {
+    let mut out = String::from("{\n");
+    out.push_str("  \"schema\": \"hsdp-fleet-profile/1\",\n");
+    out.push_str(&format!("  \"seed\": {},\n", config.seed));
+    out.push_str(&format!("  \"shards\": {},\n", config.shards));
+    out.push_str("  \"platforms\": [\n");
+    let mut digest = Crc32c::new();
+    for (i, (platform, execs)) in fleet.iter().enumerate() {
+        let (mut cpu, mut io, mut remote, mut e2e) = (0u64, 0u64, 0u64, 0u64);
+        for exec in execs {
+            let d = exec.decomposition();
+            cpu += d.cpu.as_nanos();
+            io += d.io.as_nanos();
+            remote += d.remote.as_nanos();
+            e2e += d.end_to_end.as_nanos();
+            digest_exec(&mut digest, exec);
+        }
+        let work_items: usize = execs.iter().map(|e| e.cpu_work.len()).sum();
+        out.push_str(&format!(
+            "    {{\"platform\": \"{platform}\", \"queries\": {}, \"cpu_ns\": {cpu}, \
+             \"io_ns\": {io}, \"remote_ns\": {remote}, \"end_to_end_ns\": {e2e}, \
+             \"cpu_work_items\": {work_items}}}{}\n",
+            execs.len(),
+            if i + 1 < fleet.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"record_stream_crc32c\": {}\n}}\n",
+        digest.finalize()
+    ));
+    out
+}
+
 /// Builds the fleet-wide stack-tree profile from already-run fleet records.
 ///
 /// One GWP profiler consumes every platform's work stream in canonical
@@ -79,10 +140,7 @@ pub fn run_profiled_fleet(config: FleetConfig) -> Vec<PlatformRun> {
 /// and `seed`. Frame roots already carry the platform name
 /// (`spanner.commit`, `bigtable.put`, …), so no extra prefixing is needed.
 #[must_use]
-pub fn fleet_stack_profile(
-    fleet: &[(Platform, Vec<hsdp_platforms::QueryExecution>)],
-    seed: u64,
-) -> StackProfile {
+pub fn fleet_stack_profile(fleet: &[(Platform, Vec<QueryExecution>)], seed: u64) -> StackProfile {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: hsdp_simcore::time::SimDuration::from_micros(2),
         seed: seed ^ 0x57AC,

@@ -38,6 +38,11 @@ impl RequestId {
     /// Work not attributable to any single request (preload, engine setup).
     pub const UNTAGGED: RequestId = RequestId(0);
 
+    /// Shards a request id can name: the shard field is 16 bits wide, so
+    /// [`RequestId::tag`] maps shard `MAX_SHARDS` back onto shard 0. Fleet
+    /// configurations are checked against this bound before they run.
+    pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
+
     /// Packs `(platform, shard, index)` into a tagged id.
     ///
     /// `index` is the request's position in the platform's canonical
@@ -115,6 +120,20 @@ mod tests {
                 assert_eq!(id.shard(), shard as u64);
                 assert_eq!(id.index(), index as u64);
             }
+        }
+    }
+
+    #[test]
+    fn shard_field_wraps_at_max_shards() {
+        // The aliasing `FleetConfig::validate` exists to prevent: one shard
+        // past the field width names the same request as shard 0.
+        let last = RequestId::MAX_SHARDS - 1;
+        for platform in Platform::ALL {
+            assert_eq!(RequestId::tag(platform, last, 9).shard(), last as u64);
+            assert_eq!(
+                RequestId::tag(platform, RequestId::MAX_SHARDS, 9),
+                RequestId::tag(platform, 0, 9)
+            );
         }
     }
 

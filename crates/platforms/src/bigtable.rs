@@ -108,9 +108,14 @@ pub fn route_key(key: &[u8], tablets: usize) -> usize {
     crc32c(key) as usize % tablets
 }
 
+/// Tablets per shard that get a distinct telemetry label. Fleet
+/// configurations with more are rejected (`FleetConfig::validate`), since
+/// every tablet past the table would share the last label.
+pub const MAX_TABLETS: usize = 16;
+
 /// Telemetry label for a tablet index (clamped to the label table).
 fn tablet_label(tablet: usize) -> &'static str {
-    const LABELS: [&str; 16] = [
+    const LABELS: [&str; MAX_TABLETS] = [
         "t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11", "t12",
         "t13", "t14", "t15",
     ];
@@ -635,7 +640,7 @@ impl Tablet {
                 move || run_lsm_job(job, &parent)
             })
             .collect();
-        let outputs = pool::run_jobs_perturbed(
+        let outputs = pool::run_jobs(
             self.config.compaction_parallelism.max(1),
             thunks,
             self.config.perturb,

@@ -106,45 +106,19 @@ impl Bloom {
 
     /// True if the key *may* be present (no false negatives).
     ///
-    /// Probes with [`Bloom::block_probe_scalar`] — a deliberate,
-    /// measurement-driven choice from kernel round 3. The AVX2 whole-block
-    /// probe in [`crate::simd`] answers identically (differential-tested)
-    /// but loses ~5x here: the seven probe positions arrive serialized in
-    /// `h2`, so extracting them is the bottleneck no vector width shortens,
-    /// the 64-byte block is cache-resident, and the scalar loop early-exits
-    /// on the first missing bit — the common case for the absent keys bloom
-    /// filters exist to reject. `BENCH_fleet.json` records the
-    /// `bloom/block-probe/{scalar,simd}` pair so the tradeoff stays visible
-    /// run over run.
+    /// Seven sequential word tests within the key's block, exiting on the
+    /// first missing bit — the common case for the absent keys bloom filters
+    /// exist to reject. (An AVX2 whole-block probe measured 0.3x against
+    /// this loop and was removed; see DESIGN.md "Kernel round 3".)
     #[must_use]
     pub fn may_contain(&self, key: &[u8]) -> bool {
         let (h1, h2) = Self::hash_pair(key);
         let base = self.block_base(h1);
-        Self::block_probe_scalar(&self.words[base..base + BLOCK_WORDS], h2)
-    }
-
-    /// Scalar block probe: seven sequential word tests with early exit —
-    /// the round-2 fast path, benchmark baseline, and oracle for the SIMD
-    /// block probe. `block` is one 8-word (64-byte) filter block.
-    #[must_use]
-    pub fn block_probe_scalar(block: &[u64], h2: u64) -> bool {
+        let block = &self.words[base..base + BLOCK_WORDS];
         (0..HASHES).all(|i| {
             let bits = (h2 >> (9 * i)) & 0x1ff;
             block[(bits >> 6) as usize] & (1u64 << (bits & 63)) != 0
         })
-    }
-
-    /// The 512-bit probe mask `h2` selects: the seven bits a key must have
-    /// set within its block, as one word-per-lane mask. Shared by the SIMD
-    /// whole-block test and its differential tests.
-    #[must_use]
-    pub fn probe_mask(h2: u64) -> [u64; BLOCK_WORDS] {
-        let mut mask = [0u64; BLOCK_WORDS];
-        for i in 0..HASHES {
-            let bits = (h2 >> (9 * i)) & 0x1ff;
-            mask[(bits >> 6) as usize] |= 1u64 << (bits & 63);
-        }
-        mask
     }
 
     /// Number of inserted keys.

@@ -7,7 +7,7 @@
 //! - [`spanner`] — a leader-led consensus group: replicated write log with
 //!   quorum waits, strong reads, SQL-style scans.
 //! - [`bigtable`] — an LSM tablet server: memtable, bloom-filtered
-//!   SSTables, compressed blocks, size-tiered compaction that surfaces as
+//!   SSTables, compressed blocks, leveled compaction that surfaces as
 //!   remote work.
 //! - [`bigquery`] — a columnar staged query engine: compressed column
 //!   scans, filter/aggregate/join/sort operators, a hash-partitioned
@@ -19,10 +19,7 @@
 //! [`merge`] (the loser-tree compaction merge), and [`runner`] (workload
 //! drivers).
 
-// `deny`, not `forbid`: the SIMD quarantine module ([`simd`]) opts back in
-// with a scoped allow; everything else stays unsafe-free, enforced by
-// `xtask audit --rule unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -35,7 +32,6 @@ pub mod exec;
 pub mod merge;
 pub mod meter;
 pub mod runner;
-pub mod simd;
 pub mod spanner;
 pub mod twopc;
 

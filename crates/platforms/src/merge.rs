@@ -1,6 +1,6 @@
 //! K-way sorted-run merging for LSM compaction.
 //!
-//! [`merge_sorted_runs`] is the hot path behind `bigtable`'s size-tiered
+//! [`merge_sorted_runs`] is the hot path behind `bigtable`'s leveled
 //! compaction: a loser-tree (tournament) merge over the sorted input runs.
 //! Each output entry costs one leaf-to-root replay — `ceil(log2 K)`
 //! comparisons — with no per-entry tree rebalancing and no key

@@ -21,7 +21,9 @@ use hsdp_workload::mix::{AnalyticsMix, AnalyticsQuery, DbMix, DbOp};
 use hsdp_workload::rows::FactGen;
 
 use crate::bigquery::{BigQuery, BigQueryConfig};
-use crate::bigtable::{route_key, tablet_seed, BigTableConfig, ScanAssembler, ScanPartial, Tablet};
+use crate::bigtable::{
+    route_key, tablet_seed, BigTableConfig, ScanAssembler, ScanPartial, Tablet, MAX_TABLETS,
+};
 use crate::exec::QueryExecution;
 use crate::spanner::{Spanner, SpannerConfig};
 
@@ -102,6 +104,36 @@ impl Default for FleetConfig {
             tablets: DEFAULT_BIGTABLE_TABLETS,
             perturb: None,
         }
+    }
+}
+
+impl FleetConfig {
+    /// Checks the fields that would otherwise be silently clamped or
+    /// aliased: zero `parallelism` or `shards`, more shards than a
+    /// [`RequestId`] can name ([`RequestId::MAX_SHARDS`]), and `tablets`
+    /// outside `1..=`[`MAX_TABLETS`] (the telemetry label table).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field and its allowed range.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.parallelism == 0 {
+            return Err("parallelism must be at least 1".to_owned());
+        }
+        if !(1..=RequestId::MAX_SHARDS).contains(&self.shards) {
+            return Err(format!(
+                "shards must be in 1..={} (the request-id shard field), got {}",
+                RequestId::MAX_SHARDS,
+                self.shards
+            ));
+        }
+        if !(1..=MAX_TABLETS).contains(&self.tablets) {
+            return Err(format!(
+                "tablets must be in 1..={MAX_TABLETS}, got {}",
+                self.tablets
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -698,11 +730,14 @@ fn run_fleet_shards(config: FleetConfig, telemetry: bool) -> Vec<ShardRun> {
     // identity, and results are re-sorted below, so fleet output is
     // unchanged by dispatch order.
     schedule.sort_by_key(|(_, job)| std::cmp::Reverse(job_weight(job)));
-    let jobs: Vec<_> = schedule
+    let (tags, jobs): (Vec<_>, Vec<_>) = schedule
         .into_iter()
         .map(|(tag, job)| (tag, move || job.run(telemetry)))
+        .unzip();
+    let mut outputs: Vec<_> = tags
+        .into_iter()
+        .zip(pool::run_jobs(config.parallelism, jobs, config.perturb))
         .collect();
-    let mut outputs = pool::run_tagged_jobs_perturbed(config.parallelism, jobs, config.perturb);
     outputs.sort_by_key(|((platform, shard, part), _)| (*platform as usize, *shard, *part));
 
     let mut runs: Vec<ShardRun> = Vec::new();
@@ -782,6 +817,67 @@ pub fn merge_fleet_metrics(runs: &[ShardRun]) -> MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_accepts_defaults_and_bounds() {
+        let base = FleetConfig::default();
+        assert_eq!(base.validate(), Ok(()));
+        for config in [
+            FleetConfig {
+                parallelism: 1,
+                shards: 1,
+                tablets: 1,
+                ..base
+            },
+            FleetConfig {
+                shards: RequestId::MAX_SHARDS,
+                tablets: MAX_TABLETS,
+                ..base
+            },
+        ] {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_fields() {
+        let base = FleetConfig::default();
+        for (config, field) in [
+            (
+                FleetConfig {
+                    parallelism: 0,
+                    ..base
+                },
+                "parallelism",
+            ),
+            (FleetConfig { shards: 0, ..base }, "shards"),
+            (
+                FleetConfig {
+                    shards: RequestId::MAX_SHARDS + 1,
+                    ..base
+                },
+                "shards",
+            ),
+            (
+                FleetConfig {
+                    shards: 70_000,
+                    ..base
+                },
+                "shards",
+            ),
+            (FleetConfig { tablets: 0, ..base }, "tablets"),
+            (
+                FleetConfig {
+                    tablets: MAX_TABLETS + 1,
+                    ..base
+                },
+                "tablets",
+            ),
+        ] {
+            let err = config.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
+    }
 
     #[test]
     fn spanner_run_produces_all_op_kinds() {

@@ -84,21 +84,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Runs `jobs` on up to `parallelism` worker threads and returns their
 /// results **in input order**, regardless of which worker finished first.
 ///
-/// With `parallelism <= 1` (or at most one job) everything runs inline on
-/// the calling thread — no threads are spawned, making the sequential path
-/// zero-overhead and trivially identical to the parallel one.
-///
-/// If a job panics, the panic is propagated to the caller once all other
-/// workers have drained.
-pub fn run_jobs<T, F>(parallelism: usize, jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run_jobs_perturbed(parallelism, jobs, None)
-}
-
-/// [`run_jobs`] under an optional schedule perturbation.
+/// With `parallelism <= 1` (or at most one job) and no perturbation,
+/// everything runs inline on the calling thread — no threads are spawned,
+/// making the sequential path zero-overhead and trivially identical to the
+/// parallel one.
 ///
 /// With `Some(perturbation)` the dispatch order is a seeded permutation of
 /// the input order, each job's start is delayed by a small derived jitter,
@@ -106,7 +95,14 @@ where
 /// the canonical index-ordered reassembly. The returned vector must be
 /// identical to the unperturbed run — that is the property the determinism
 /// tests drive through this knob.
-pub fn run_jobs_perturbed<T, F>(
+///
+/// Callers that need to attribute results (e.g. to a `(platform, shard)`
+/// origin) zip their tags around the call: results come back in input
+/// order, so the tags never have to travel through the pool.
+///
+/// If a job panics, the panic is propagated to the caller once all other
+/// workers have drained.
+pub fn run_jobs<T, F>(
     parallelism: usize,
     jobs: Vec<F>,
     perturbation: Option<Perturbation>,
@@ -185,36 +181,6 @@ where
     let out: Vec<T> = slots.into_iter().flatten().collect();
     debug_assert_eq!(out.len(), total, "every job yields exactly one result");
     out
-}
-
-/// Runs tagged jobs on the pool and returns `(tag, result)` pairs in input
-/// order. The tag travels *around* the pool, not through it — workers never
-/// see it — so callers can attribute each result to its origin (e.g.
-/// `(platform, shard)` for per-shard telemetry registries) without
-/// threading identity into every job closure.
-pub fn run_tagged_jobs<K, T, F>(parallelism: usize, jobs: Vec<(K, F)>) -> Vec<(K, T)>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run_tagged_jobs_perturbed(parallelism, jobs, None)
-}
-
-/// [`run_tagged_jobs`] under an optional schedule perturbation — see
-/// [`run_jobs_perturbed`].
-pub fn run_tagged_jobs_perturbed<K, T, F>(
-    parallelism: usize,
-    jobs: Vec<(K, F)>,
-    perturbation: Option<Perturbation>,
-) -> Vec<(K, T)>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let (tags, thunks): (Vec<K>, Vec<F>) = jobs.into_iter().unzip();
-    tags.into_iter()
-        .zip(run_jobs_perturbed(parallelism, thunks, perturbation))
-        .collect()
 }
 
 /// One shard of a sharded workload: a contiguous slice of the query stream
@@ -302,7 +268,7 @@ mod tests {
     fn inline_path_preserves_order() {
         let jobs: Vec<_> = (0..10).map(|i| move || i * 2).collect();
         assert_eq!(
-            run_jobs(1, jobs),
+            run_jobs(1, jobs, None),
             (0..10).map(|i| i * 2).collect::<Vec<_>>()
         );
     }
@@ -322,7 +288,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let got = run_jobs(parallelism, jobs);
+            let got = run_jobs(parallelism, jobs, None);
             let want: Vec<u64> = (0..37).map(|i| i * i).collect();
             assert_eq!(got, want, "parallelism {parallelism}");
         }
@@ -331,8 +297,8 @@ mod tests {
     #[test]
     fn empty_and_single_job_sets() {
         let none: Vec<fn() -> u8> = Vec::new();
-        assert!(run_jobs(4, none).is_empty());
-        assert_eq!(run_jobs(4, vec![|| 9u8]), vec![9]);
+        assert!(run_jobs(4, none, None).is_empty());
+        assert_eq!(run_jobs(4, vec![|| 9u8], None), vec![9]);
     }
 
     #[test]
@@ -342,18 +308,9 @@ mod tests {
             Box::new(|| panic!("job failed")),
             Box::new(|| 3),
         ];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, jobs)));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, jobs, None)));
         assert!(result.is_err(), "panic must reach the caller");
-    }
-
-    #[test]
-    fn tagged_jobs_keep_tags_aligned() {
-        type TaggedJob = (&'static str, fn() -> u32);
-        for parallelism in [1, 4] {
-            let jobs: Vec<TaggedJob> = vec![("a", || 1), ("b", || 2), ("c", || 3)];
-            let got = run_tagged_jobs(parallelism, jobs);
-            assert_eq!(got, vec![("a", 1), ("b", 2), ("c", 3)]);
-        }
     }
 
     #[test]
@@ -370,11 +327,10 @@ mod tests {
                 })
                 .collect()
         };
-        let baseline = run_jobs(1, make_jobs());
+        let baseline = run_jobs(1, make_jobs(), None);
         for parallelism in [1, 4] {
             for seed in 0..6u64 {
-                let got =
-                    run_jobs_perturbed(parallelism, make_jobs(), Some(Perturbation::new(seed)));
+                let got = run_jobs(parallelism, make_jobs(), Some(Perturbation::new(seed)));
                 assert_eq!(got, baseline, "parallelism {parallelism} seed {seed}");
             }
         }
@@ -391,19 +347,11 @@ mod tests {
                 move || lock(order).push(i)
             })
             .collect();
-        run_jobs_perturbed(1, jobs, Some(Perturbation::new(7)));
+        run_jobs(1, jobs, Some(Perturbation::new(7)));
         let started = lock(&order).clone();
         let canonical: Vec<usize> = (0..16).collect();
         assert_eq!(started.len(), 16);
         assert_ne!(started, canonical, "dispatch order must be permuted");
-    }
-
-    #[test]
-    fn perturbed_tagged_jobs_keep_tags_aligned() {
-        type TaggedJob = (&'static str, fn() -> u32);
-        let jobs: Vec<TaggedJob> = vec![("a", || 1), ("b", || 2), ("c", || 3), ("d", || 4)];
-        let got = run_tagged_jobs_perturbed(4, jobs, Some(Perturbation::new(3)));
-        assert_eq!(got, vec![("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
     }
 
     #[test]
@@ -476,9 +424,12 @@ mod tests {
                 })
                 .collect()
         };
-        let sequential: Vec<u64> = run_jobs(1, make_jobs()).into_iter().flatten().collect();
+        let sequential: Vec<u64> = run_jobs(1, make_jobs(), None)
+            .into_iter()
+            .flatten()
+            .collect();
         for parallelism in [2, 4, 8] {
-            let parallel: Vec<u64> = run_jobs(parallelism, make_jobs())
+            let parallel: Vec<u64> = run_jobs(parallelism, make_jobs(), None)
                 .into_iter()
                 .flatten()
                 .collect();

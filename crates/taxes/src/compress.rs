@@ -44,31 +44,31 @@ use crate::error::CompressError;
 use crate::varint::{decode_varint, encode_varint};
 
 /// Stream magic bytes.
-pub(crate) const MAGIC: [u8; 2] = *b"HZ";
+const MAGIC: [u8; 2] = *b"HZ";
 /// Format version.
-pub(crate) const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 /// Minimum back-reference length worth encoding.
-pub(crate) const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 /// Maximum back-reference distance (64 KiB window).
-pub(crate) const MAX_OFFSET: usize = 1 << 16;
+const MAX_OFFSET: usize = 1 << 16;
 /// log2 of the match-finder hash table size.
-pub(crate) const HASH_BITS: u32 = 14;
+const HASH_BITS: u32 = 14;
 /// After `2^SKIP_TRIGGER` consecutive match misses, the probe stride grows
 /// by one — incompressible runs are crossed in sub-linear probe counts.
-pub(crate) const SKIP_TRIGGER: u32 = 5;
+const SKIP_TRIGGER: u32 = 5;
 /// Cap on the decoder's up-front allocation: the header's declared length
 /// is untrusted, so larger outputs grow amortized instead of being
 /// reserved blindly.
-pub(crate) const MAX_PREALLOC: usize = 1 << 20;
+const MAX_PREALLOC: usize = 1 << 20;
 
 #[inline]
-pub(crate) fn hash4(v: u32) -> usize {
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Loads a little-endian u32; the caller guarantees `pos + 4 <= data.len()`.
 #[inline]
-pub(crate) fn load_u32(data: &[u8], pos: usize) -> u32 {
+fn load_u32(data: &[u8], pos: usize) -> u32 {
     // audit: allow(panic, caller guarantees pos + 4 <= data.len())
     u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte load"))
 }
@@ -103,7 +103,7 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize) -> usize {
     b - start
 }
 
-pub(crate) fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
+fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
     if data.is_empty() {
         return;
     }
@@ -117,7 +117,7 @@ pub(crate) fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(data);
 }
 
-pub(crate) fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
+fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
     debug_assert!(len >= MIN_MATCH && offset >= 1);
     if len - MIN_MATCH < 0x7f {
         out.push((((len - MIN_MATCH) as u8) << 1) | 1);
@@ -128,31 +128,13 @@ pub(crate) fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
     encode_varint(offset as u64, out);
 }
 
-/// Compresses `data` into a self-describing block — the dispatched entry.
-///
-/// Resolves once per process to the AVX2 path in [`crate::simd::compress`]
-/// when the host supports it, else to [`compress_scalar`]. Both paths make
-/// **identical match decisions** and emit **identical streams** for every
-/// input — the SIMD path only widens match extension and batches emission —
-/// so compressed artifacts are byte-stable across hosts and under
-/// `HSDP_FORCE_SCALAR=1` (see [`crate::dispatch`]).
-#[must_use]
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    use crate::simd::compress::CompressFn;
-    static IMPL: std::sync::OnceLock<CompressFn> = std::sync::OnceLock::new();
-    let resolved =
-        *IMPL.get_or_init(|| crate::simd::compress::compress_fn().unwrap_or(compress_scalar));
-    resolved(data)
-}
-
-/// Compresses `data` into a self-describing block — the scalar fast path,
-/// round-2 benchmark baseline, and byte-for-byte oracle for the SIMD path.
+/// Compresses `data` into a self-describing block — the hot path.
 ///
 /// Same greedy hash-table match finder as [`compress_reference`], but match
 /// extension runs a 64-bit word at a time and consecutive misses grow the
 /// probe stride, so incompressible stretches cost sub-linear probe counts.
 #[must_use]
-pub fn compress_scalar(data: &[u8]) -> Vec<u8> {
+pub fn compress(data: &[u8]) -> Vec<u8> {
     // The fast table stores `pos + 1` as u32 (0 = empty) — half the
     // footprint of a usize table, so it stays cache-resident. Inputs too
     // large for that encoding take the reference path (same format).
@@ -286,7 +268,7 @@ pub fn compress_reference(data: &[u8]) -> Vec<u8> {
 
 /// Decodes one op length, shared by both length classes.
 #[inline]
-pub(crate) fn decode_op_len(
+fn decode_op_len(
     input: &[u8],
     pos: &mut usize,
     short_len: usize,
@@ -301,27 +283,7 @@ pub(crate) fn decode_op_len(
 }
 
 /// Decompresses a block produced by [`compress`] or [`compress_reference`]
-/// — the dispatched entry.
-///
-/// Resolves once per process to the SIMD wide-copy decoder in
-/// [`crate::simd::compress`] when the host supports it, else to
-/// [`decompress_scalar`]. Both paths validate in the same order, return the
-/// same errors for every malformed stream, and produce identical bytes.
-///
-/// # Errors
-///
-/// Returns a [`CompressError`] on bad headers, truncated streams, invalid
-/// back-references, or a length mismatch against the header.
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
-    use crate::simd::compress::DecompressFn;
-    static IMPL: std::sync::OnceLock<DecompressFn> = std::sync::OnceLock::new();
-    let resolved =
-        *IMPL.get_or_init(|| crate::simd::compress::decompress_fn().unwrap_or(decompress_scalar));
-    resolved(input)
-}
-
-/// Decompresses a block — the scalar fast path, round-2 benchmark baseline,
-/// and behavioural oracle for the SIMD decoder.
+/// — the hot path.
 ///
 /// Literal runs are batch-copied; back-references use overlap-safe chunked
 /// copies that widen geometrically, so RLE-like runs cost O(log n) copy
@@ -333,7 +295,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 ///
 /// Returns a [`CompressError`] on bad headers, truncated streams, invalid
 /// back-references, or a length mismatch against the header.
-pub fn decompress_scalar(input: &[u8]) -> Result<Vec<u8>, CompressError> {
+pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     if input.len() < 3 || input[..2] != MAGIC || input[2] != VERSION {
         return Err(CompressError::BadHeader);
     }

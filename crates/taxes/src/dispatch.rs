@@ -2,10 +2,13 @@
 //!
 //! The paper's datacenter-tax kernels (checksumming, compression, hashing,
 //! filtering) all have hardware-instruction or SIMD fast paths on modern
-//! cores. This module performs **one-time** feature detection and hands each
-//! kernel a function pointer for the best implementation the host supports
-//! (kernel round 3); the scalar round-1/2 paths remain the permanent
-//! fallback, equivalence oracle, and benchmark baseline.
+//! cores. Only one of them earns its `unsafe` here: hardware CRC32C (SSE4.2
+//! or the aarch64 CRC extension, 14x over slicing-by-8). This module
+//! performs **one-time** feature detection and hands that kernel a function
+//! pointer for the best implementation the host supports; the scalar path
+//! remains the permanent fallback, equivalence oracle, and benchmark
+//! baseline. (An AVX2 compressor and bloom probe were measured and removed:
+//! neither moved a fleet run, see DESIGN.md "Kernel round 3".)
 //!
 //! Detection runs once per process via [`CpuFeatures::get`] and is cached in
 //! a `OnceLock`; kernels then cache their *resolved* function pointer the
@@ -33,10 +36,6 @@ pub struct CpuFeatures {
     pub forced_scalar: bool,
     /// x86-64 SSE4.2: the `crc32` instruction (hardware CRC32C).
     pub sse42: bool,
-    /// x86-64 PCLMULQDQ: carry-less multiply (CRC folding/recombination).
-    pub pclmulqdq: bool,
-    /// x86-64 AVX2: 32-byte integer SIMD (match finding, block probes).
-    pub avx2: bool,
     /// aarch64 CRC extension: the `crc32c*` instructions.
     pub aarch64_crc: bool,
 }
@@ -47,8 +46,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar,
             sse42: false,
-            pclmulqdq: false,
-            avx2: false,
             aarch64_crc: false,
         }
     }
@@ -75,8 +72,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar: false,
             sse42: std::arch::is_x86_feature_detected!("sse4.2"),
-            pclmulqdq: std::arch::is_x86_feature_detected!("pclmulqdq"),
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
             aarch64_crc: false,
         }
     }
@@ -86,8 +81,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar: false,
             sse42: false,
-            pclmulqdq: false,
-            avx2: false,
             aarch64_crc: std::arch::is_aarch64_feature_detected!("crc"),
         }
     }
@@ -100,12 +93,11 @@ impl CpuFeatures {
     /// True when any fast-path capability is available.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.sse42 || self.pclmulqdq || self.avx2 || self.aarch64_crc
+        self.sse42 || self.aarch64_crc
     }
 
     /// A compact, order-stable summary for bench reports and log headers,
-    /// e.g. `"sse4.2+pclmul+avx2"`, `"aarch64-crc"`, `"scalar(forced)"`, or
-    /// `"scalar"`.
+    /// e.g. `"sse4.2"`, `"aarch64-crc"`, `"scalar(forced)"`, or `"scalar"`.
     #[must_use]
     pub fn summary(&self) -> String {
         if self.forced_scalar {
@@ -114,12 +106,6 @@ impl CpuFeatures {
         let mut parts: Vec<&str> = Vec::new();
         if self.sse42 {
             parts.push("sse4.2");
-        }
-        if self.pclmulqdq {
-            parts.push("pclmul");
-        }
-        if self.avx2 {
-            parts.push("avx2");
         }
         if self.aarch64_crc {
             parts.push("aarch64-crc");
@@ -160,11 +146,9 @@ mod tests {
         let full = CpuFeatures {
             forced_scalar: false,
             sse42: true,
-            pclmulqdq: true,
-            avx2: true,
-            aarch64_crc: false,
+            aarch64_crc: true,
         };
-        assert_eq!(full.summary(), "sse4.2+pclmul+avx2");
+        assert_eq!(full.summary(), "sse4.2+aarch64-crc");
         assert!(full.any());
         assert!(!CpuFeatures::none(false).any());
     }

@@ -8,10 +8,12 @@
 //! | Protobuf (de)serialization | [`protowire`] (+ [`varint`]) |
 //! | Compression | [`compress`](mod@compress) |
 //! | Cryptography | [`sha3`] |
-//! | Mem. allocation | [`arena`] |
 //! | RPC | [`frame`] |
-//! | Data movement | [`memops`] |
 //! | EDAC / checksums (system tax) | [`crc`] |
+//!
+//! The remaining Table 2 taxes (memory allocation, data movement) have no
+//! kernel here: the platforms charge them as modeled costs
+//! (`hsdp-platforms::costs`).
 //!
 //! [`pprof`] dogfoods [`protowire`] to serialize profiler output in the
 //! standard `profile.proto` format, and [`framed`] wraps protowire payloads
@@ -24,32 +26,28 @@
 //! [`sha3`] as its pipeline stages, mirroring the paper's ProtoAcc → SHA3
 //! RTL experiment (Section 6.4).
 
-// `deny` rather than `forbid`: the [`simd`] quarantine overrides it with a
-// scoped allow. Everything outside `simd/` remains unsafe-free, enforced by
-// `xtask audit --rule unsafe`.
+// `deny` rather than `forbid`: the [`simd`] quarantine (hardware CRC32C)
+// overrides it with a scoped allow. Everything outside `simd/` remains
+// unsafe-free, enforced by `xtask audit --rule unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arena;
 pub mod compress;
 pub mod crc;
 pub mod dispatch;
 pub mod error;
 pub mod frame;
 pub mod framed;
-pub mod memops;
 pub mod pprof;
 pub mod protowire;
 pub mod sha3;
 pub mod simd;
 pub mod varint;
 
-pub use arena::{Arena, ArenaStats};
 pub use compress::{compress, decompress};
 pub use crc::crc32c;
 pub use error::{CompressError, FrameError, WireError};
 pub use frame::{Frame, FrameKind};
-pub use memops::MoveCounter;
 pub use protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
 pub use sha3::{Sha3_256, Sha3_512};

@@ -1,17 +1,16 @@
-//! Kernel round 3 differential suite: every SIMD/hardware fast path must be
-//! *byte-identical* to its scalar predecessor — same outputs on valid
-//! inputs, same `Ok`/`Err` verdicts on adversarial ones — over random
-//! lengths (0..4 KiB), unaligned starting offsets, and structured corpora.
+//! Differential suite for the hardware fast path: hardware CRC32C must be
+//! *byte-identical* to its scalar predecessors (slicing-by-8 and the
+//! bytewise oracle) over random lengths (0..4 KiB), unaligned starting
+//! offsets, seeds, and streaming split points.
 //!
-//! The fast paths are taken from the [`hsdp_taxes::simd`] resolvers
-//! directly, so the comparison is real even if the dispatched entry points
-//! were pinned elsewhere. On hosts without the instruction sets (or under
-//! `HSDP_FORCE_SCALAR=1`) the resolvers return `None` and each test logs a
-//! skip — CI runs the suite in both modes, so the SIMD side is exercised
-//! wherever the hardware allows.
+//! The fast path is taken from the [`hsdp_taxes::simd`] resolver directly,
+//! so the comparison is real even if the dispatched entry point were pinned
+//! elsewhere. On hosts without the instruction set (or under
+//! `HSDP_FORCE_SCALAR=1`) the resolver returns `None` and each test logs a
+//! skip — CI runs the suite in both modes, so the hardware side is
+//! exercised wherever the hardware allows.
 
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{compress_scalar, decompress_scalar};
 use hsdp_taxes::crc::{crc32c_append_bytewise, crc32c_append_slicing8};
 use hsdp_taxes::simd;
 
@@ -22,33 +21,6 @@ const MAX_LEN: usize = 4096;
 fn random_bytes(rng: &mut StdRng, max_len: usize) -> Vec<u8> {
     let len = rng.random_range(0..=max_len);
     (0..len + 16).map(|_| rng.random()).collect()
-}
-
-/// Corpus shapes spanning the kernels' regimes: incompressible noise,
-/// log-like repetition, long self-matches, and constant runs.
-fn corpus_shapes(rng: &mut StdRng) -> Vec<Vec<u8>> {
-    let mut shapes = Vec::new();
-    shapes.push(Vec::new());
-    shapes.push(vec![0u8; rng.random_range(1..=MAX_LEN)]);
-    shapes.push((0..MAX_LEN).map(|_| rng.random()).collect());
-    // Log-like: few distinct short lines, repeated with variation.
-    let mut log = Vec::new();
-    while log.len() < MAX_LEN {
-        let shard = rng.random_range(0u32..8);
-        let user = rng.random_range(0u64..40);
-        log.extend_from_slice(format!("shard={shard:02} user={user:04} op=read\n").as_bytes());
-    }
-    log.truncate(MAX_LEN);
-    shapes.push(log);
-    // Hot block: one 512-byte random block repeated (match-extension regime).
-    let block: Vec<u8> = (0..512).map(|_| rng.random()).collect();
-    let mut hot = Vec::new();
-    while hot.len() < MAX_LEN {
-        hot.extend_from_slice(&block);
-    }
-    hot.truncate(MAX_LEN);
-    shapes.push(hot);
-    shapes
 }
 
 // ---------------------------------------------------------------------------
@@ -99,132 +71,5 @@ fn hw_crc32c_streams_split_points_like_scalar() {
             whole,
             "split {split}"
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compression: the SIMD encoder must emit identical bytes, not just an
-// equivalent stream, so SSTable block checksums are host-independent.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simd_compress_bytes_match_scalar_over_random_lengths_and_offsets() {
-    let Some(simd_compress) = simd::compress::compress_fn() else {
-        eprintln!("skipping: no SIMD compress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0x51AD);
-    for case in 0..200 {
-        let buf = random_bytes(&mut rng, MAX_LEN);
-        let off = rng.random_range(0..=8usize.min(buf.len()));
-        let data = &buf[off..];
-        assert_eq!(
-            simd_compress(data),
-            compress_scalar(data),
-            "case {case} len {} off {off}",
-            data.len()
-        );
-    }
-    for (i, shape) in corpus_shapes(&mut rng).iter().enumerate() {
-        for off in 0..4usize.min(shape.len() + 1) {
-            let data = &shape[off.min(shape.len())..];
-            assert_eq!(
-                simd_compress(data),
-                compress_scalar(data),
-                "shape {i} off {off}"
-            );
-        }
-    }
-}
-
-#[test]
-fn simd_decompress_matches_scalar_on_valid_streams() {
-    let Some(simd_decompress) = simd::compress::decompress_fn() else {
-        eprintln!("skipping: no SIMD decompress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0xD1AD);
-    for case in 0..200 {
-        let buf = random_bytes(&mut rng, MAX_LEN);
-        let off = rng.random_range(0..=8usize.min(buf.len()));
-        let data = &buf[off..];
-        let packed = compress_scalar(data);
-        let fast = simd_decompress(&packed).expect("valid stream");
-        let slow = decompress_scalar(&packed).expect("valid stream");
-        assert_eq!(fast, slow, "case {case}");
-        assert_eq!(fast, data, "case {case} roundtrip");
-    }
-    for (i, shape) in corpus_shapes(&mut rng).iter().enumerate() {
-        let packed = compress_scalar(shape);
-        assert_eq!(
-            simd_decompress(&packed).expect("valid stream"),
-            *shape,
-            "shape {i}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Error parity: the hardened-decoder checks survive vectorization — every
-// adversarial stream gets the same Ok/Err verdict from both decoders.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simd_decompress_error_parity_on_adversarial_streams() {
-    let Some(simd_decompress) = simd::compress::decompress_fn() else {
-        eprintln!("skipping: no SIMD decompress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0xE11A);
-    for case in 0..24 {
-        // Compressible-with-noise data so streams mix literal and copy ops.
-        let pattern = random_bytes(&mut rng, 32);
-        let mut data: Vec<u8> = pattern
-            .iter()
-            .copied()
-            .cycle()
-            .take(pattern.len().max(1) * 20)
-            .collect();
-        data.extend(random_bytes(&mut rng, 256));
-        let packed = compress_scalar(&data);
-
-        // Every truncation point.
-        for cut in 0..packed.len() {
-            let fast = simd_decompress(&packed[..cut]);
-            let slow = decompress_scalar(&packed[..cut]);
-            assert_eq!(
-                fast.is_err(),
-                slow.is_err(),
-                "case {case} cut {cut}: verdicts diverge"
-            );
-        }
-        // Single-byte corruption at every position (sampled past 512 to
-        // bound the quadratic cost).
-        let stride = 1 + packed.len() / 512;
-        for pos in (0..packed.len()).step_by(stride) {
-            for flip in [0x01u8, 0x80u8, 0xff] {
-                let mut bad = packed.clone();
-                bad[pos] ^= flip;
-                match (simd_decompress(&bad), decompress_scalar(&bad)) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "case {case} pos {pos} flip {flip:#04x}")
-                    }
-                    (Err(_), Err(_)) => {}
-                    (fast, slow) => panic!(
-                        "case {case} pos {pos} flip {flip:#04x}: SIMD {fast:?} vs scalar {slow:?}"
-                    ),
-                }
-            }
-        }
-    }
-
-    // Random garbage never panics and never diverges.
-    for _ in 0..200 {
-        let garbage = random_bytes(&mut rng, 512);
-        match (simd_decompress(&garbage), decompress_scalar(&garbage)) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
-            (Err(_), Err(_)) => {}
-            (fast, slow) => panic!("garbage verdicts diverge: SIMD {fast:?} vs scalar {slow:?}"),
-        }
     }
 }

@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn cast_scope_excludes_units_and_tests() {
-        assert!(in_cast_scope("crates/taxes/src/memops.rs"));
+        assert!(in_cast_scope("crates/taxes/src/crc.rs"));
         assert!(in_cast_scope("src/lib.rs"));
         assert!(in_cast_scope("crates/bench/src/bin/fig9.rs"));
         assert!(!in_cast_scope("crates/core/src/units.rs"));
